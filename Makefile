@@ -6,12 +6,12 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz chaos crash failover migrate tenants scrub bench bench-json bench-workers bench-qps bench-io bench-migration clean
+.PHONY: ci vet build test race fuzz chaos crash failover migrate tenants perfbench scrub bench bench-json bench-workers bench-qps bench-io bench-migration clean
 
 # ci keeps the fuzz leg to a 5s-per-target smoke; run `make fuzz` for
 # the full exploration pass.
 ci: FUZZTIME = 5s
-ci: vet build race chaos crash failover migrate tenants fuzz bench-workers
+ci: vet build race chaos crash failover migrate tenants perfbench fuzz bench-workers
 
 vet:
 	$(GO) vet ./...
@@ -61,6 +61,13 @@ migrate:
 tenants:
 	$(GO) test -race -count=1 -run 'TestTenant|TestDeadlineStartsAtExecution|TestEngineResultCache|TestEngineCacheSkips' ./internal/query
 	$(GO) test -race -count=1 -run 'TestQueryCacheEndToEnd' ./internal/core
+
+# Self-tests of the benchmark rig (its own module, so the root
+# `go test ./...` never runs them): quantile rules, input determinism,
+# failure accounting, and traced-vs-untraced work counts through the
+# real ingest and query paths (~70 s).
+perfbench:
+	cd perfbench && $(GO) test ./...
 
 # Offline checksum scrub of every node database under DIR (quarantines
 # and repairs corrupt blocks): make scrub DIR=/data/mssg

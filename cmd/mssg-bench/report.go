@@ -81,7 +81,11 @@ type ingestSummary struct {
 	EdgesPerSec    float64          `json:"edges_per_sec"`
 	RunNs          obs.HistSnapshot `json:"run_ns"`
 	WindowBuildNs  obs.HistSnapshot `json:"window_build_ns"`
-	DeclusterSkewX int64            `json:"decluster_skew_x1000"`
+	// StoreBatchNs times each back-end StoreEdges call; a call stores
+	// StoreBatchWindows windows (up to the checkpoint interval).
+	StoreBatchNs      obs.HistSnapshot `json:"store_batch_ns"`
+	StoreBatchWindows obs.HistSnapshot `json:"store_batch_windows"`
+	DeclusterSkewX    int64            `json:"decluster_skew_x1000"`
 }
 
 type bfsSummary struct {
@@ -127,8 +131,12 @@ type tenantSummary struct {
 }
 
 type cacheSummary struct {
-	Hits    int64   `json:"hits"`
-	Misses  int64   `json:"misses"`
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	// Creates counts blocks the caches made zero-filled without a device
+	// read (freshly allocated grDB blocks); they are neither hits nor
+	// misses.
+	Creates int64   `json:"creates"`
 	HitRate float64 `json:"hit_rate"`
 }
 
@@ -150,6 +158,8 @@ func buildReport(p *experiments.Params, results []experimentResult, interrupted 
 	var ing ingestSummary
 	ing.RunNs = snap.Histograms["ingest.run_ns"]
 	ing.WindowBuildNs = snap.Histograms["ingest.window_build_ns"]
+	ing.StoreBatchNs = snap.Histograms["ingest.store_batch_ns"]
+	ing.StoreBatchWindows = snap.Histograms["ingest.store_batch_windows"]
 	ing.Runs = ing.RunNs.Count
 	ing.TotalNs = ing.RunNs.Sum
 	ing.WindowsApplied = snap.Counters["ingest.windows_applied"]
@@ -230,6 +240,8 @@ func buildReport(p *experiments.Params, results []experimentResult, interrupted 
 				ca.Hits += v
 			case strings.HasSuffix(name, ".misses"):
 				ca.Misses += v
+			case strings.HasSuffix(name, ".creates"):
+				ca.Creates += v
 			}
 		}
 	}

@@ -156,6 +156,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mssg-query: metrics on http://%s/metrics\n", s.Addr())
 	}
 	defer obsServer.Close()
+	if sc := cfg.DBOptions.SharedCache; sc != nil {
+		// grDB labels only the private caches it creates; a shared cache
+		// is its creator's to label.
+		sc.EnableMetrics(cfg.Metrics, "shared")
+	}
 	eng, err := core.New(cfg)
 	if err != nil {
 		fatal(err)

@@ -214,6 +214,7 @@ func buildEngine(p *Params, label, backend string, backends, frontends int, opts
 		// Engine copies DBOptions per node, so one cache set here is the
 		// cache every node's grDB attaches a space to.
 		cfg.DBOptions.SharedCache = cache.NewWithPolicy(budget*int64(backends), cache.PolicySLRU)
+		cfg.DBOptions.SharedCache.EnableMetrics(p.registry(), "shared")
 	}
 	if p.FaultSeed != 0 {
 		cfg.Fault = &cluster.Plan{
@@ -227,10 +228,17 @@ func buildEngine(p *Params, label, backend string, backends, frontends int, opts
 		cfg.IngestDeadline = p.Deadline
 		cfg.IngestFailFast = true
 	}
-	if p.Metrics {
-		cfg.Metrics = obs.Default()
-	}
+	cfg.Metrics = p.registry()
 	return core.New(cfg)
+}
+
+// registry is the registry experiments report into: the process default
+// with Metrics set, nil (metrics off) otherwise.
+func (p *Params) registry() *obs.Registry {
+	if p.Metrics {
+		return obs.Default()
+	}
+	return nil
 }
 
 // ingestDuration runs one ingestion and returns the wall time.

@@ -118,6 +118,7 @@ func IOEngine(p *Params) (*Table, error) {
 		opts.Compress = c.compress
 		if c.shared {
 			opts.SharedCache = cache.NewWithPolicy(int64(ioBackends)*ioCacheBytes, cache.PolicySLRU)
+			opts.SharedCache.EnableMetrics(p.registry(), "io-"+c.name)
 		}
 		e, err := buildEngine(&pIO, "io-"+c.name, "grdb", ioBackends, ioFrontEnds, opts)
 		if err != nil {

@@ -85,7 +85,11 @@ func (d *DB) rewriteChain(v graph.VertexID, adj []graph.VertexID) error {
 	}
 	rest := adj[d0-1:]
 	tailLevel := d.pickLevel(len(rest))
-	tailSub := d.allocSub(tailLevel)
+	tailSub, err := d.allocSub(tailLevel)
+	if err != nil {
+		h.Release()
+		return err
+	}
 	setWord(sub, d0-1, encodePointer(tailLevel, tailSub))
 	h.MarkDirty()
 	if err := h.Release(); err != nil {
@@ -116,7 +120,11 @@ func (d *DB) rewriteChain(v graph.VertexID, adj []graph.VertexID) error {
 		}
 		rest = rest[capSlots-1:]
 		nl := d.nextLevel(ℓ)
-		nextSub := d.allocSub(nl)
+		nextSub, err := d.allocSub(nl)
+		if err != nil {
+			h.Release()
+			return err
+		}
 		setWord(sub, capSlots-1, encodePointer(nl, nextSub))
 		h.MarkDirty()
 		if err := h.Release(); err != nil {

@@ -23,7 +23,8 @@
 //
 // Because slots fill strictly left to right and no legal word is zero,
 // the fill point of a sub-block is found by binary search, and freshly
-// allocated (all-zero) disk blocks need no initialization.
+// allocated (all-zero) blocks need no initialization: the cache creates
+// them zero-filled without reading the device.
 //
 // Sub-block s of level ℓ lives at block s/k_ℓ, file (s/k_ℓ)/N_ℓ, byte
 // offset B_ℓ·((s/k_ℓ) mod N_ℓ) + b·d_ℓ·(s mod k_ℓ) — the modulo
@@ -477,11 +478,26 @@ func setWord(sub []byte, i int, w uint64) {
 	binary.LittleEndian.PutUint64(sub[i*wordBytes:], w)
 }
 
-// allocSub allocates a fresh (all-zero on disk) sub-block at level ℓ.
-func (d *DB) allocSub(ℓ int) int64 {
+// allocSub allocates a fresh (all-zero) sub-block at level ℓ. The first
+// sub-block of a block starts a block nothing has written yet, so that
+// block enters the cache zero-filled and dirty instead of costing a
+// device read of zeros. A zero-budget cache would write the empty block
+// straight back and still read it on the next touch, so it keeps the
+// read.
+func (d *DB) allocSub(ℓ int) (int64, error) {
 	s := d.nextFree[ℓ]
 	d.nextFree[ℓ]++
-	return s
+	l := d.levels[ℓ]
+	if ℓ > 0 && s%l.k == 0 && d.cache.Capacity() > 0 {
+		h, err := d.cache.Create(l.space, s/l.k)
+		if err != nil {
+			return 0, err
+		}
+		if err := h.Release(); err != nil {
+			return 0, err
+		}
+	}
+	return s, nil
 }
 
 // nextLevel returns the level a full level-ℓ sub-block chains into: ℓ+1,

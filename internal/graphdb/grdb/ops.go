@@ -2,7 +2,7 @@ package grdb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mssg/internal/graph"
 	"mssg/internal/graphdb"
@@ -23,7 +23,11 @@ func (d *DB) StoreEdges(edges []graph.Edge) error {
 	}
 	start := d.stats.OpStart()
 	defer d.stats.ObserveStore(start)
-	grouped := make(map[graph.VertexID][]graph.VertexID)
+	// Group with a counting sort: count each source, lay the sources out
+	// in ascending order, then drop every destination into its source's
+	// next slot. The sort is stable, so each vertex's neighbours keep
+	// their input order, and the grouped ids fill one exact-size slice.
+	next := make(map[graph.VertexID]int)
 	for _, e := range edges {
 		if err := graph.ValidateEdge(e); err != nil {
 			return err
@@ -31,21 +35,35 @@ func (d *DB) StoreEdges(edges []graph.Edge) error {
 		if uint64(e.Src) > maxStoreable || uint64(e.Dst) > maxStoreable {
 			return fmt.Errorf("grdb: vertex id beyond 61-bit storeable range: %v", e)
 		}
-		grouped[e.Src] = append(grouped[e.Src], e.Dst)
+		next[e.Src]++
 	}
-	srcs := make([]graph.VertexID, 0, len(grouped))
-	for v := range grouped {
+	srcs := make([]graph.VertexID, 0, len(next))
+	for v := range next {
 		srcs = append(srcs, v)
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
+	slices.Sort(srcs)
+	off := 0
+	for _, v := range srcs {
+		n := next[v]
+		next[v] = off
+		off += n
+	}
+	ids := make([]graph.VertexID, len(edges))
+	for _, e := range edges {
+		ids[next[e.Src]] = e.Dst
+		next[e.Src]++
+	}
+	lo := 0
 	for _, src := range srcs {
-		if err := d.appendNeighbors(src, grouped[src]); err != nil {
+		hi := next[src]
+		if err := d.appendNeighbors(src, ids[lo:hi]); err != nil {
 			return err
 		}
-		d.stats.AddEdgesStored(int64(len(grouped[src])))
+		d.stats.AddEdgesStored(int64(hi - lo))
 		if src > d.maxVertex {
 			d.maxVertex = src
 		}
+		lo = hi
 	}
 	return nil
 }
@@ -110,7 +128,11 @@ func (d *DB) appendNeighbors(v graph.VertexID, ids []graph.VertexID) error {
 			// Copy-up: move this sub-block's contents into a fresh,
 			// larger sub-block (d_{ℓ+1} >= 2·d_ℓ guarantees room), then
 			// redirect the parent pointer and abandon the old sub-block.
-			newSub := d.allocSub(nl)
+			newSub, err := d.allocSub(nl)
+			if err != nil {
+				h.Release()
+				return err
+			}
 			moved := make([]graph.VertexID, capSlots)
 			for i := 0; i < capSlots; i++ {
 				moved[i] = decodeNeighbor(getWord(sub, i))
@@ -152,7 +174,11 @@ func (d *DB) appendNeighbors(v graph.VertexID, ids []graph.VertexID) error {
 		// Link: evict the last neighbour into a freshly allocated
 		// sub-block at the next level and replace it with the
 		// continuation pointer.
-		newSub := d.allocSub(nl)
+		newSub, err := d.allocSub(nl)
+		if err != nil {
+			h.Release()
+			return err
+		}
 		evicted := decodeNeighbor(getWord(sub, capSlots-1))
 		setWord(sub, capSlots-1, encodePointer(nl, newSub))
 		h.MarkDirty()

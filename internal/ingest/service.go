@@ -53,7 +53,10 @@ type Config struct {
 	// (grDB); Init fails otherwise.
 	Durable bool
 	// CheckpointWindows is how many applied windows a durable back-end
-	// stores between checkpoints (dedup-set + Flush). <= 0 means 64.
+	// stores between checkpoints (dedup-set + Flush). It also bounds
+	// every back-end's store batch: windows are stored at most this many
+	// per StoreEdges call, and a batch never crosses a checkpoint.
+	// <= 0 means 64.
 	CheckpointWindows int
 }
 
@@ -134,14 +137,19 @@ func decodeEdges(b []byte) ([]graph.Edge, error) {
 	if len(b)%edgeBytes != 0 {
 		return nil, fmt.Errorf("ingest: window payload of %d bytes not a multiple of %d", len(b), edgeBytes)
 	}
-	edges := make([]graph.Edge, len(b)/edgeBytes)
-	for i := range edges {
-		edges[i] = graph.Edge{
-			Src: graph.VertexID(binary.LittleEndian.Uint64(b[edgeBytes*i:])),
-			Dst: graph.VertexID(binary.LittleEndian.Uint64(b[edgeBytes*i+8:])),
-		}
+	return appendEdges(make([]graph.Edge, 0, len(b)/edgeBytes), b), nil
+}
+
+// appendEdges decodes a payload whose length is a multiple of edgeBytes
+// onto dst.
+func appendEdges(dst []graph.Edge, b []byte) []graph.Edge {
+	for i := 0; i+edgeBytes <= len(b); i += edgeBytes {
+		dst = append(dst, graph.Edge{
+			Src: graph.VertexID(binary.LittleEndian.Uint64(b[i:])),
+			Dst: graph.VertexID(binary.LittleEndian.Uint64(b[i+8:])),
+		})
 	}
-	return edges, nil
+	return dst
 }
 
 // windowHeaderBytes prefixes every shipped window with {frontend uint32,
@@ -162,13 +170,22 @@ func encodeWindow(frontend uint32, seq uint64, edges []graph.Edge) []byte {
 }
 
 func decodeWindow(b []byte) (frontend uint32, seq uint64, edges []graph.Edge, err error) {
-	if len(b) < windowHeaderBytes {
-		return 0, 0, nil, fmt.Errorf("ingest: window of %d bytes shorter than its %d-byte header", len(b), windowHeaderBytes)
+	if frontend, seq, err = windowHeader(b); err != nil {
+		return 0, 0, nil, err
 	}
-	frontend = binary.LittleEndian.Uint32(b[0:4])
-	seq = binary.LittleEndian.Uint64(b[4:12])
 	edges, err = decodeEdges(b[windowHeaderBytes:])
 	return frontend, seq, edges, err
+}
+
+// windowHeader validates a window's framing and returns its id.
+func windowHeader(b []byte) (frontend uint32, seq uint64, err error) {
+	if len(b) < windowHeaderBytes {
+		return 0, 0, fmt.Errorf("ingest: window of %d bytes shorter than its %d-byte header", len(b), windowHeaderBytes)
+	}
+	if n := len(b) - windowHeaderBytes; n%edgeBytes != 0 {
+		return 0, 0, fmt.Errorf("ingest: window payload of %d bytes not a multiple of %d", n, edgeBytes)
+	}
+	return binary.LittleEndian.Uint32(b[0:4]), binary.LittleEndian.Uint64(b[4:12]), nil
 }
 
 // windowKey collapses a window id into the dedup-set key. Front-end copy
@@ -471,6 +488,7 @@ type storeFilter struct {
 	self int
 
 	mStore    *obs.Histogram
+	mBatch    *obs.Histogram
 	mApplied  *obs.Counter
 	mDups     *obs.Counter
 	mReplWins *obs.Counter
@@ -500,7 +518,8 @@ func (f *storeFilter) Init(ctx *datacutter.Context) error {
 		}
 	}
 	reg := obs.Default()
-	f.mStore = reg.Histogram("ingest.store_window_ns")
+	f.mStore = reg.Histogram("ingest.store_batch_ns")
+	f.mBatch = reg.Histogram("ingest.store_batch_windows")
 	f.mApplied = reg.Counter("ingest.windows_applied")
 	f.mDups = reg.Counter("ingest.dup_windows")
 	f.mReplWins = reg.Counter("ingest.replica_windows_stored")
@@ -523,37 +542,65 @@ func (f *storeFilter) commitCheckpoint() error {
 	return nil
 }
 
-// apply decodes and stores one window payload, skipping windows this
-// copy has already stored.
-func (f *storeFilter) apply(data []byte) error {
-	frontend, seq, edges, err := decodeWindow(data)
-	if err != nil {
-		return err
-	}
-	key := windowKey(frontend, seq)
-	if _, dup := f.seen[key]; dup {
-		f.stats.DupBlocks.Add(1)
-		f.mDups.Inc()
-		return nil
-	}
-	f.seen[key] = struct{}{}
-	// Every edge of a replicated window shares one replica set, so the
-	// first edge classifies the whole window as primary or standby here.
-	if f.repl != nil && len(edges) > 0 {
-		if int(f.repl.Replicas(edges[0].Src)[0]) != f.self {
-			f.stats.ReplicaWindows.Add(1)
-			f.mReplWins.Inc()
+// apply stores a batch of window payloads with one StoreEdges call,
+// skipping windows this copy has already stored (including a repeat
+// inside the batch). A malformed window fails the batch before any of
+// it is counted. Each surviving window is classified exactly as if it
+// arrived alone; the survivors are decoded into one slice of exact size
+// and apply clears windows[i] once it is decoded, so a caller that
+// passes its own slice lets the payloads be collected before the store.
+// The applied windows count toward the durable checkpoint cadence.
+func (f *storeFilter) apply(windows ...[]byte) error {
+	for _, data := range windows {
+		if _, _, err := windowHeader(data); err != nil {
+			return err
 		}
+	}
+	keep, total := 0, 0
+	for _, data := range windows {
+		frontend, seq, _ := windowHeader(data)
+		key := windowKey(frontend, seq)
+		if _, dup := f.seen[key]; dup {
+			f.stats.DupBlocks.Add(1)
+			f.mDups.Inc()
+			continue
+		}
+		f.seen[key] = struct{}{}
+		n := (len(data) - windowHeaderBytes) / edgeBytes
+		// Every edge of a replicated window shares one replica set, so the
+		// first edge classifies the whole window as primary or standby here.
+		if f.repl != nil && n > 0 {
+			src := graph.VertexID(binary.LittleEndian.Uint64(data[windowHeaderBytes:]))
+			if int(f.repl.Replicas(src)[0]) != f.self {
+				f.stats.ReplicaWindows.Add(1)
+				f.mReplWins.Inc()
+			}
+		}
+		windows[keep] = data
+		keep++
+		total += n
+	}
+	edges := make([]graph.Edge, 0, total)
+	for i, data := range windows[:keep] {
+		edges = appendEdges(edges, data[windowHeaderBytes:])
+		windows[i] = nil
+	}
+	for i := keep; i < len(windows); i++ {
+		windows[i] = nil
+	}
+	if keep == 0 {
+		return nil
 	}
 	start := time.Now()
 	if err := f.db.StoreEdges(edges); err != nil {
 		return err
 	}
 	f.mStore.ObserveSince(start)
-	f.mApplied.Inc()
+	f.mBatch.Observe(int64(keep))
+	f.mApplied.Add(int64(keep))
 	f.stats.EdgesStored.Add(int64(len(edges)))
 	if f.ckpt != nil {
-		f.sinceCkpt++
+		f.sinceCkpt += keep
 		if f.sinceCkpt >= f.cfg.checkpointWindows() {
 			return f.commitCheckpoint()
 		}
@@ -561,22 +608,45 @@ func (f *storeFilter) apply(data []byte) error {
 	return nil
 }
 
-// Process implements datacutter.Filter.
+// Process implements datacutter.Filter. It stores windows in batches:
+// a batch is whatever arrives up to the next durable checkpoint (at
+// most CheckpointWindows windows) or the end of the stream, so each
+// back-end walks its chains once per batch instead of once per window.
 func (f *storeFilter) Process(ctx *datacutter.Context) error {
 	in, err := ctx.Input("in")
 	if err != nil {
 		return err
 	}
-	for {
+	return f.process(func() ([]byte, error) {
 		buf, err := in.Read()
-		if err == io.EOF {
+		return buf.Data, err
+	})
+}
+
+// process drains read (which returns io.EOF at end of stream) in
+// batches through apply.
+func (f *storeFilter) process(read func() ([]byte, error)) error {
+	batch := make([][]byte, 0, f.cfg.checkpointWindows())
+	for {
+		batch = batch[:0]
+		limit := f.cfg.checkpointWindows() - f.sinceCkpt
+		var eos bool
+		for len(batch) < limit {
+			data, err := read()
+			if err == io.EOF {
+				eos = true
+				break
+			}
+			if err != nil {
+				return err
+			}
+			batch = append(batch, data)
+		}
+		if err := f.apply(batch...); err != nil {
+			return err
+		}
+		if eos {
 			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := f.apply(buf.Data); err != nil {
-			return err
 		}
 	}
 }

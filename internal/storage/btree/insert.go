@@ -205,7 +205,10 @@ func (t *Tree) insert(pid int64, k Key, v []byte) (sep Key, newPage int64, added
 			h.MarkDirty()
 			return Key{}, 0, added, nil
 		}
-		// Split by bytes.
+		// Split by bytes, then move the split point until both halves
+		// fit: a large cell just past the byte midpoint can push the
+		// balanced left half over a page. A fitting split always exists,
+		// since no cell exceeds half a page.
 		half := leafBytes(cells) / 2
 		mid, acc := 0, 0
 		for mid = 0; mid < len(cells)-1; mid++ {
@@ -214,6 +217,13 @@ func (t *Tree) insert(pid int64, k Key, v []byte) (sep Key, newPage int64, added
 				mid++
 				break
 			}
+		}
+		room := t.pageSize - pageHeaderSize
+		for mid > 1 && leafBytes(cells[:mid]) > room {
+			mid--
+		}
+		for mid < len(cells)-1 && leafBytes(cells[mid:]) > room {
+			mid++
 		}
 		rightID, err := t.allocPage(pageTypeLeaf)
 		if err != nil {

@@ -90,6 +90,9 @@ type Stats struct {
 	// therefore admitted directly to the protected segment (PolicySLRU
 	// only).
 	GhostHits int64
+	// Creates counts blocks admitted zero-filled by Create, without a
+	// read of the backing store.
+	Creates int64
 	// AdmissionRejects counts blocks evicted from probation without ever
 	// being promoted (PolicySLRU only) — the policy declined to admit
 	// them to the protected set. A sequential scan shows up here, not in
@@ -129,6 +132,10 @@ type entry struct {
 	// promoted records whether the entry ever reached the protected
 	// segment; an unpromoted probation eviction is an admission reject.
 	promoted bool
+	// created marks an entry made by Create and not yet looked up: that
+	// first lookup stands in for the miss a read would have been, so it
+	// does not promote.
+	created bool
 	// LRU list links (nil sentinels at list ends).
 	prev, next *entry
 }
@@ -173,6 +180,9 @@ type BlockCache struct {
 	// nextSpace is the lowest id AddSpace has not handed out yet.
 	nextSpace uint32
 	entries   map[key]*entry
+	// loading holds the block reads in flight; each channel closes when
+	// its read finishes.
+	loading map[key]chan struct{}
 	// prob holds probationary entries; under PolicyLRU it is the only
 	// list. prot holds protected entries (PolicySLRU).
 	prob, prot *list
@@ -200,11 +210,12 @@ type BlockCache struct {
 	// hit/miss view.
 	mHits, mMisses, mEvictions, mWriteBacks    *obs.Counter
 	mPromotions, mGhostHits, mAdmissionRejects *obs.Counter
+	mCreates                                   *obs.Counter
 }
 
 // EnableMetrics mirrors the cache's counters into reg under
 // cache.<label>.{hits,misses,evictions,writebacks,promotions,ghost_hits,
-// admission_rejects}, plus pull-mode per-segment byte gauges
+// admission_rejects,creates}, plus pull-mode per-segment byte gauges
 // (protected_bytes / probation_bytes). Counters are shared across
 // instances with the same label; the segment gauges report the LAST
 // instance registered under the label (a shared cross-query cache is one
@@ -223,6 +234,7 @@ func (c *BlockCache) EnableMetrics(reg *obs.Registry, label string) {
 	c.mPromotions = reg.Counter(p + ".promotions")
 	c.mGhostHits = reg.Counter(p + ".ghost_hits")
 	c.mAdmissionRejects = reg.Counter(p + ".admission_rejects")
+	c.mCreates = reg.Counter(p + ".creates")
 	reg.RegisterFunc(p+".protected_bytes", func() int64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -250,6 +262,7 @@ func NewWithPolicy(capacityBytes int64, policy Policy) *BlockCache {
 		capacity: capacityBytes,
 		spaces:   make(map[uint32]Store),
 		entries:  make(map[key]*entry),
+		loading:  make(map[key]chan struct{}),
 		prob:     newList(),
 		prot:     newList(),
 		ghost:    make(map[key]struct{}),
@@ -342,7 +355,7 @@ func (c *BlockCache) protectedCap() int64 {
 // the front; PolicySLRU additionally promotes probation entries into the
 // protected segment.
 func (c *BlockCache) touchLocked(e *entry) {
-	if c.policy == PolicySLRU && e.seg == segProbation {
+	if c.policy == PolicySLRU && e.seg == segProbation && !e.created {
 		c.prob.unlink(e)
 		e.seg = segProtected
 		e.promoted = true
@@ -352,6 +365,7 @@ func (c *BlockCache) touchLocked(e *entry) {
 		c.rebalanceLocked()
 		return
 	}
+	e.created = false
 	l := c.listOf(e)
 	l.unlink(e)
 	l.pushFront(e)
@@ -534,46 +548,26 @@ func (h *Handle) Release() error {
 
 func c0(c *BlockCache) bool { return c.capacity <= 0 }
 
-// Get pins block `block` of space `space`, loading it from the backing
-// store on a miss.
-func (c *BlockCache) Get(space uint32, block int64) (*Handle, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	store, ok := c.spaces[space]
-	if !ok {
-		return nil, fmt.Errorf("cache: space %d not attached", space)
+// hitLocked pins a resident entry and records the hit.
+func (c *BlockCache) hitLocked(e *entry) *Handle {
+	c.stats.Hits++
+	c.mHits.Inc()
+	c.pinLocked(e)
+	c.touchLocked(e)
+	return &Handle{c: c, e: e}
+}
+
+func (c *BlockCache) pinLocked(e *entry) {
+	if e.pins == 0 {
+		c.pinned++
 	}
-	k := key{space: space, block: block}
-	if e, hit := c.entries[k]; hit {
-		c.stats.Hits++
-		c.mHits.Inc()
-		if e.pins == 0 {
-			c.pinned++
-		}
-		e.pins++
-		c.touchLocked(e)
-		return &Handle{c: c, e: e}, nil
-	}
-	c.stats.Misses++
-	c.mMisses.Inc()
-	buf := make([]byte, store.BlockSize())
-	// Drop the lock during the disk read so other blocks stay accessible.
-	c.mu.Unlock()
-	err := store.ReadBlock(block, buf)
-	c.mu.Lock()
-	if err != nil {
-		return nil, err
-	}
-	// Re-check: another goroutine may have loaded it meanwhile.
-	if e, hit := c.entries[k]; hit {
-		if e.pins == 0 {
-			c.pinned++
-		}
-		e.pins++
-		c.touchLocked(e)
-		return &Handle{c: c, e: e}, nil
-	}
-	e := &entry{key: k, buf: buf, pins: 1}
+	e.pins++
+}
+
+// insertLocked admits a new pinned entry for k holding buf, then evicts
+// down to the budget.
+func (c *BlockCache) insertLocked(k key, buf []byte, dirty bool) (*Handle, error) {
+	e := &entry{key: k, buf: buf, pins: 1, dirty: dirty}
 	c.pinned++
 	c.entries[k] = e
 	c.admitLocked(e)
@@ -582,6 +576,80 @@ func (c *BlockCache) Get(space uint32, block int64) (*Handle, error) {
 		return nil, err
 	}
 	return &Handle{c: c, e: e}, nil
+}
+
+// Get pins block `block` of space `space`, loading it from the backing
+// store on a miss. A miss on a block whose read is already in flight
+// waits for that read instead of issuing a second one.
+func (c *BlockCache) Get(space uint32, block int64) (*Handle, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	store, ok := c.spaces[space]
+	if !ok {
+		return nil, fmt.Errorf("cache: space %d not attached", space)
+	}
+	k := key{space: space, block: block}
+	for {
+		if e, hit := c.entries[k]; hit {
+			return c.hitLocked(e), nil
+		}
+		done, busy := c.loading[k]
+		if !busy {
+			break
+		}
+		// The loader inserts the block (or fails, and this caller then
+		// reads it itself on the next pass).
+		c.mu.Unlock()
+		<-done
+		c.mu.Lock()
+	}
+	c.stats.Misses++
+	c.mMisses.Inc()
+	buf := make([]byte, store.BlockSize())
+	done := make(chan struct{})
+	c.loading[k] = done
+	// Drop the lock during the disk read so other blocks stay accessible.
+	c.mu.Unlock()
+	err := store.ReadBlock(block, buf)
+	c.mu.Lock()
+	delete(c.loading, k)
+	close(done)
+	if err != nil {
+		return nil, err
+	}
+	// Re-check: Create may have made the block meanwhile.
+	if e, hit := c.entries[k]; hit {
+		c.pinLocked(e)
+		c.touchLocked(e)
+		return &Handle{c: c, e: e}, nil
+	}
+	return c.insertLocked(k, buf, false)
+}
+
+// Create pins block `block` of space `space` as a zero-filled, dirty
+// entry without reading the backing store. The caller asserts the block
+// has never been written (a freshly allocated block past the store's
+// high-water mark), so its device image is all zeros; the dirty flag
+// makes the first write-back extend the store. A block that is already
+// resident is pinned as a hit and left as it is.
+func (c *BlockCache) Create(space uint32, block int64) (*Handle, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	store, ok := c.spaces[space]
+	if !ok {
+		return nil, fmt.Errorf("cache: space %d not attached", space)
+	}
+	k := key{space: space, block: block}
+	if e, hit := c.entries[k]; hit {
+		return c.hitLocked(e), nil
+	}
+	c.stats.Creates++
+	c.mCreates.Inc()
+	h, err := c.insertLocked(k, make([]byte, store.BlockSize()), true)
+	if h != nil {
+		h.e.created = true
+	}
+	return h, err
 }
 
 // Dirty calls fn for every dirty resident block, in (space, block)
